@@ -1,7 +1,7 @@
 """Observability layer: structured tracing, metrics, and explanations.
 
 ``repro.obs`` is the zero-dependency instrumentation substrate the rest
-of the engine emits into.  It has three parts, each usable alone:
+of the engine emits into.  It has four parts:
 
 * :mod:`repro.obs.tracer` — a structured event tracer.  Engine code
   emits typed events (promise made/certified, barrier, view advance,
@@ -12,10 +12,10 @@ of the engine emits into.  It has three parts, each usable alone:
   in CI).
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges, and histograms.  It absorbs :class:`repro.memory.datatypes.
-  EngineStats` from every exploration, aggregates across worker
-  processes (:func:`repro.parallel.parallel_map` ships worker snapshots
-  back to the parent), and serializes to JSON for ``BENCH_*`` files and
-  the ``--metrics-out`` CLI flag.
+  EngineStats` from every exploration and serializes to JSON for
+  ``BENCH_*`` files and the ``--metrics-out`` CLI flag.
+* :mod:`repro.obs.envelope` — the one way telemetry crosses a ``fork``:
+  trace events, metrics and cache-lookup deltas of each worker's unit.
 * :mod:`repro.obs.render` — the execution-explanation renderer: it
   turns a failing exploration, a shrunk conformance witness, or a
   failing wDRF check into a step-by-step textual/JSON account of the

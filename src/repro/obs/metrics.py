@@ -14,13 +14,10 @@ cold call sites, each behind :func:`metrics_enabled` (a module-global
 flag, settable by :func:`enable`/:func:`disable` or the
 ``REPRO_METRICS=1`` environment knob read at import).
 
-Multiprocess aggregation: :func:`repro.parallel.pool.parallel_map`
-wraps each work item so the child resets its registry before running
-and ships a :meth:`MetricsRegistry.snapshot` back alongside the result;
-the parent :meth:`MetricsRegistry.merge`\\ s the snapshots.  The
-child-side reset is what makes this correct under ``fork`` — without it
-the stats the parent accumulated before forking would be counted once
-per worker.
+Multiprocess aggregation: forked workers ship a
+:meth:`MetricsRegistry.snapshot` per unit of work back in its
+:mod:`repro.obs.envelope`, and the parent :meth:`MetricsRegistry.merge`\\ s
+it.
 """
 
 from __future__ import annotations

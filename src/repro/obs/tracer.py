@@ -24,10 +24,9 @@ artifacts.  Spans bracket phases (one exploration, one fused wDRF pass,
 one fuzzed program) with matched ``span_begin``/``span_end`` events
 carrying a shared span id.
 
-The default sink is process-local; worker processes inherit it through
-``fork`` but their recorded events stay in the worker (tracing is a
-debugging instrument — cross-process aggregation is the metrics
-registry's job, see :mod:`repro.obs.metrics`).
+The sink is process-local; forked workers carry their events back in
+the :mod:`repro.obs.envelope` and the parent re-emits them
+(:meth:`TraceSink.replay`), so a pooled run traces what a serial one does.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ SPAN_BEGIN = "span_begin"
 SPAN_END = "span_end"
 #: A shard worker offloaded a frontier batch to the steal queue.
 SHARD_STEAL = "shard_steal"
-#: The shared visited filter rejected an already-claimed state (per-event
-#: in workers; re-emitted as one aggregate event by the orchestrator).
+#: The shared visited filter rejected an already-claimed state (one event
+#: per hit in workers, plus one ``aggregate`` total from the orchestrator).
 VISITED_FILTER_HIT = "visited_filter_hit"
 
 
@@ -109,6 +108,23 @@ class TraceSink:
     def next_seq(self) -> int:
         """The next event sequence number (monotone per sink)."""
         return next(self._seq)
+
+    def replay(self, events: Tuple[TraceEvent, ...]) -> None:
+        """Re-emit events another sink recorded (a worker's envelope).
+
+        Sequence numbers come from this sink, and span ids are
+        renumbered through its counter, so replayed spans stay matched
+        and never collide with this sink's own.
+        """
+        spans: Dict[Any, int] = {}
+        for event in events:
+            data = dict(event.data)
+            if event.kind in (SPAN_BEGIN, SPAN_END):
+                old = data["span"]
+                if old not in spans:
+                    spans[old] = next(self._span_ids)
+                data["span"] = spans[old]
+            self.emit(event.kind, **data)
 
     def begin_span(self, name: str, **data: Any) -> int:
         """Open a span: emits ``span_begin``, returns the span id.
@@ -156,18 +172,24 @@ class RecordingSink(TraceSink):
     ``max_events`` bounds memory on pathological runs (a traced
     exploration can emit one ``por_ample`` event per state); events past
     the cap are counted in :attr:`dropped` instead of stored, so a
-    truncated trace is detectable rather than silently short.
+    truncated trace is detectable rather than silently short.  With
+    ``kinds`` set, events of other kinds are ignored (neither stored nor
+    counted as dropped).
     """
 
-    def __init__(self, max_events: int = 100_000) -> None:
+    def __init__(self, max_events: int = 100_000,
+                 kinds: Optional[Tuple[str, ...]] = None) -> None:
         super().__init__()
         self.max_events = max_events
+        self.kinds = None if kinds is None else frozenset(kinds)
         self.events: List[TraceEvent] = []
         self.dropped = 0
 
     def emit(self, kind: str, **data: Any) -> None:
         """Record one event (or count it as dropped past the cap)."""
         seq = self.next_seq()
+        if self.kinds is not None and kind not in self.kinds:
+            return
         if len(self.events) >= self.max_events:
             self.dropped += 1
             return

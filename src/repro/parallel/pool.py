@@ -20,7 +20,7 @@ import multiprocessing
 import os
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, TypeVar
 
-from repro.obs import metrics
+from repro.obs import envelope, metrics
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -177,34 +177,13 @@ def plan_jobs(
     return _plan(workers, reason)
 
 
-def _disable_sharding() -> None:
-    """Pool-worker initializer: pin ``REPRO_SHARD=0`` in the child.
+def _run_enveloped(fn: Callable[[T], R], cap: int, item: T):
+    """Pool worker: run one item inside the telemetry envelope.
 
-    Pool children are daemonic and cannot fork shard workers of their
-    own (``maybe_shard_explore`` refuses on the daemon check already);
-    this makes the refusal explicit so an inherited ``REPRO_SHARD``
-    never even attempts it.  It must run *in the child, after fork* —
-    mutating the parent's ``os.environ`` around the pool would race
-    with concurrent explorations in other threads (silently unsharding
-    them) and with concurrent ``parallel_map`` calls (whose interleaved
-    save/restores can clobber the knob permanently)."""
-    os.environ["REPRO_SHARD"] = "0"
-
-
-def _run_with_metrics(fn: Callable[[T], R], item: T):
-    """Pool worker wrapper shipping the child's metrics to the parent.
-
-    The child's registry is **reset before** running the item: the
-    worker was forked from a parent that may already hold accumulated
-    metrics, and without the reset each worker would re-report the
-    parent's pre-fork state once per item.  After running, the item's
-    own metric deltas ride back alongside the result as a snapshot for
-    the parent to merge.  Module-level (not a closure) so it pickles.
-    """
-    metrics.enable()
-    metrics.REGISTRY.reset()
-    result = fn(item)
-    return result, metrics.REGISTRY.snapshot()
+    Module-level (not a closure) so it pickles."""
+    with envelope.Capture(cap) as captured:
+        result = fn(item)
+    return result, captured.envelope
 
 
 def parallel_map(
@@ -219,10 +198,10 @@ def parallel_map(
     machine has one CPU, or when the batch is too small to amortize the
     fork — parallel runs stay bit-identical to serial ones either way.
 
-    When metrics are enabled (:func:`repro.obs.metrics.metrics_enabled`)
-    each worker ships a per-item registry snapshot back with its result
-    and the parent merges them, so ``--metrics-out`` totals cover the
-    whole pool, not just the parent process.
+    Each item runs inside a :class:`repro.obs.envelope.Capture`; the
+    parent merges the envelopes in submission order, so trace events,
+    ``--metrics-out`` totals and cache lookup tallies cover the whole
+    pool and a pooled trace holds the same events as a serial one.
     """
     batch = list(items)
     plan = plan_jobs(jobs, len(batch))
@@ -231,19 +210,15 @@ def parallel_map(
     methods = multiprocessing.get_all_start_methods()
     method = "fork" if "fork" in methods else None
     ctx = multiprocessing.get_context(method)
+    wrapped = functools.partial(_run_enveloped, fn, envelope.trace_cap())
+    with ctx.Pool(
+        processes=plan.workers, initializer=envelope.init_worker
+    ) as pool:
+        pairs = pool.map(wrapped, batch)
+    for _, env in pairs:
+        envelope.merge(env)
     if metrics.metrics_enabled():
-        wrapped = functools.partial(_run_with_metrics, fn)
-        with ctx.Pool(
-            processes=plan.workers, initializer=_disable_sharding
-        ) as pool:
-            pairs = pool.map(wrapped, batch)
-        for _, snap in pairs:
-            metrics.REGISTRY.merge(snap)
         metrics.REGISTRY.counter("pool.batches").inc()
         metrics.REGISTRY.counter("pool.items").inc(len(batch))
         metrics.REGISTRY.gauge("pool.workers").set(plan.workers)
-        return [result for result, _ in pairs]
-    with ctx.Pool(
-        processes=plan.workers, initializer=_disable_sharding
-    ) as pool:
-        return pool.map(fn, batch)
+    return [result for result, _ in pairs]

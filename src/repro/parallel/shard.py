@@ -62,7 +62,7 @@ import gc
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from queue import Empty
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -92,7 +92,7 @@ from repro.memory.exploration import (
     _successors,
     behavior_of,
 )
-from repro.obs import metrics, tracer
+from repro.obs import envelope, metrics, tracer
 from repro.parallel.pool import resolve_shard_jobs
 
 __all__ = [
@@ -268,10 +268,10 @@ class _WorkerOutput:
     mem_complete: bool
     stats: EngineStats
     graph: Optional[Dict[int, Tuple]]
-    steals: List[int] = field(default_factory=list)
     filter_hits: int = 0
     full_misses: int = 0
     speculative_stop: bool = False
+    envelope: Optional[envelope.Envelope] = None
 
 
 class _SharedState:
@@ -332,7 +332,7 @@ def _acquire_work(shared: _SharedState):
 
 def _worker_main(
     wid, cache, cfg, observe_locs, plan, frontier, vfilter, shared,
-    spec_monitors, monitor_cut, record_graph, results_q,
+    spec_monitors, monitor_cut, record_graph, results_q, trace_cap,
 ) -> None:
     """Process entry point: run the body, always report, never hang."""
     # The fork-inherited heap (program cache, seed frontier, interned
@@ -349,10 +349,12 @@ def _worker_main(
     gc.freeze()
     gc.set_threshold(50_000, 25, 25)
     try:
-        out = _worker_body(
-            wid, cache, cfg, observe_locs, plan, frontier, vfilter,
-            shared, spec_monitors, monitor_cut, record_graph,
-        )
+        with envelope.Capture(trace_cap) as captured:
+            out = _worker_body(
+                wid, cache, cfg, observe_locs, plan, frontier, vfilter,
+                shared, spec_monitors, monitor_cut, record_graph,
+            )
+        out.envelope = captured.envelope
         results_q.put((wid, out, None))
     except BaseException as exc:  # noqa: BLE001 — must reach the parent
         shared.abort.set()
@@ -402,7 +404,6 @@ def _worker_body(
         else:
             state_key = lambda s: s  # noqa: E731
         local_seen = {state_key(s) for _, s in stack}
-    steals: List[int] = []
     states_explored = 0
     cut_paths = 0
     mem_complete = True
@@ -425,7 +426,8 @@ def _worker_body(
             with shared.counts_lock:
                 shared.queued.value += 1
             shared.steal_q.put(give)
-            steals.append(len(give))
+            if metrics.ENABLED:
+                metrics.REGISTRY.counter("shard.steals").inc()
             if sink is not None:
                 sink.emit(tracer.SHARD_STEAL, worker=wid, batch=len(give))
         if local_allow == 0:
@@ -509,7 +511,6 @@ def _worker_body(
         mem_complete=mem_complete,
         stats=stats,
         graph=graph,
-        steals=steals,
         filter_hits=vfilter.hits - hits_base,
         full_misses=vfilter.full_misses - full_misses_base,
         speculative_stop=speculative_stop,
@@ -825,7 +826,7 @@ def shard_explore(
         return finish(result, f"serial-fallback:{reason}")
 
     def emit_merged_metrics(result: ExplorationResult, merged: EngineStats,
-                            steals: int, filter_hits: int) -> None:
+                            filter_hits: int) -> None:
         # Mirrors the serial engine's tail so dashboards see one
         # exploration either way, plus the shard-only counters.
         if not metrics.ENABLED:
@@ -837,7 +838,6 @@ def shard_explore(
         reg.histogram("explore.behaviors").observe(len(result.behaviors))
         reg.histogram("explore.states").observe(result.states_explored)
         reg.counter("shard.explorations").inc()
-        reg.counter("shard.steals").inc(steals)
         reg.counter("shard.filter_hits").inc(filter_hits)
         reg.gauge("shard.workers").set(jobs)
 
@@ -878,10 +878,11 @@ def shard_explore(
                 stats=stats,
                 stopped_early=stopped,
             )
-            emit_merged_metrics(result, stats, 0, vfilter.hits)
+            emit_merged_metrics(result, stats, vfilter.hits)
             return finish(result, "seed-only")
 
         shards = [seed.frontier[i::jobs] for i in range(jobs)]
+        trace_cap = envelope.trace_cap()
         budget_left = max(cfg.max_states - seed.states_explored, 0)
         shared = _SharedState(ctx, jobs, budget_left)
         results_q = ctx.Queue()
@@ -892,7 +893,7 @@ def shard_explore(
                 args=(
                     wid, cache, cfg, observe_locs, plan, shards[wid],
                     vfilter, shared, active if record_graph else None,
-                    monitor_cut, record_graph, results_q,
+                    monitor_cut, record_graph, results_q, trace_cap,
                 ),
                 daemon=True,
             )
@@ -910,13 +911,14 @@ def shard_explore(
         shared.steal_q.close()
         results_q.close()
 
+        for wid in sorted(outputs):
+            envelope.merge(outputs[wid].envelope)
         if errors or len(outputs) < jobs:
             return fallback("worker-failure")
 
         merged = stats
         for out in outputs.values():
             merged.add(out.stats)
-        total_steals = sum(len(out.steals) for out in outputs.values())
         total_hits = vfilter.hits + sum(
             out.filter_hits for out in outputs.values()
         )
@@ -924,10 +926,6 @@ def shard_explore(
             out.full_misses for out in outputs.values()
         )
         if sink is not None:
-            for wid in sorted(outputs):
-                for batch_len in outputs[wid].steals:
-                    sink.emit(tracer.SHARD_STEAL, worker=wid,
-                              batch=batch_len)
             sink.emit(tracer.VISITED_FILTER_HIT, hits=total_hits,
                       full_misses=total_full_misses, aggregate=True)
 
@@ -960,7 +958,7 @@ def shard_explore(
                 stats=merged,
                 stopped_early=stopped,
             )
-            emit_merged_metrics(result, merged, total_steals, total_hits)
+            emit_merged_metrics(result, merged, total_hits)
             return finish(result, "sharded-replay")
 
         # Unmonitored: the merge is exact only for complete, duplicate-
@@ -987,7 +985,7 @@ def shard_explore(
             stats=merged,
             stopped_early=False,
         )
-        emit_merged_metrics(result, merged, total_steals, total_hits)
+        emit_merged_metrics(result, merged, total_hits)
         return finish(result, "sharded")
     finally:
         vfilter.close()

@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.obs import envelope
 from repro.serve import admission as adm
 from repro.serve import hot_tier as hot
 from repro.serve.jobs import Job, JobError, parse_job
@@ -331,12 +332,13 @@ class VerificationServer:
         record = self._records.get(job_id)
         if record is None:
             return
-        if kind == "event":
-            self._emit(record, {"kind": "engine_event", "event": msg[3]})
-            return
+        env = msg[4]
+        for event in env.events:
+            self._emit(record, {"kind": "engine_event",
+                                "event": event.as_dict()})
         self._outstanding[widx] = max(0, self._outstanding[widx] - 1)
-        self._merge_cache_stats(msg[4])
-        record.cache_stats = msg[4]
+        envelope.add_lookups(self.worker_cache_stats, env.lookup_delta)
+        record.cache_stats = env.lookup_delta
         self._inflight.pop(record.job.key, None)
         if kind == "done":
             self.counters["computed"] += 1
@@ -350,12 +352,6 @@ class VerificationServer:
                 "error": {"type": "execution_failed", "detail": msg[3]},
             })
         self._pump()
-
-    def _merge_cache_stats(self, stats: Dict[str, Dict[str, int]]) -> None:
-        for bucket in ("hits", "misses"):
-            totals = self.worker_cache_stats[bucket]
-            for layer, count in stats.get(bucket, {}).items():
-                totals[layer] = totals.get(layer, 0) + count
 
     # ------------------------------------------------------------------
     # introspection

@@ -20,11 +20,10 @@ warm worker) and all workers share one outbox the parent drains from a
 reader thread, bridging messages into the event loop via
 ``call_soon_threadsafe``.
 
-Trace bridging: while a job runs, the worker installs a
-:class:`_ForwardingSink` that ships a bounded number of coarse engine
-events (spans, cache hits/misses, monitor stops — not the per-state
-firehose) to the parent, which fans them out to the job's SSE
-subscribers.  ``REPRO_SERVE_TRACE_EVENTS`` caps the count per job.
+Each job runs inside the telemetry envelope (:mod:`repro.obs.envelope`),
+which records its coarse engine events (:data:`FORWARDED_KINDS`, capped
+by ``REPRO_SERVE_TRACE_EVENTS``) and cache-lookup delta; the server
+turns the events into the job's SSE ``engine_event`` frames.
 
 On platforms without ``fork`` — or with ``workers=0`` — the
 :class:`InlinePool` fallback runs jobs on a single daemon thread in the
@@ -41,7 +40,7 @@ import queue
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs import tracer
+from repro.obs import envelope, tracer
 
 #: Engine event kinds a worker forwards to SSE subscribers.  Coarse,
 #: bounded-rate events only: per-state kinds (``por_ample``,
@@ -65,65 +64,37 @@ def trace_event_cap() -> int:
         return 256
 
 
-class _ForwardingSink(tracer.TraceSink):
-    """Tracer sink shipping whitelisted events to the pool outbox."""
-
-    def __init__(self, outbox, widx: int, job_id: str, cap: int) -> None:
-        super().__init__()
-        self._outbox = outbox
-        self._widx = widx
-        self._job_id = job_id
-        self._budget = cap
-
-    def emit(self, kind: str, **data: Any) -> None:
-        seq = self.next_seq()
-        if kind not in FORWARDED_KINDS or self._budget <= 0:
-            return
-        self._budget -= 1
-        payload = {"seq": seq, "kind": kind}
-        payload.update(data)
-        self._outbox.put(("event", self._widx, self._job_id, payload))
-
-
-def _run_one(outbox, widx: int, job_id: str,
-             payload: Dict[str, Any], cap: int) -> None:
-    """Execute one job in the worker, shipping events + result back."""
-    from repro.memory.cache import lookup_stats, reset_lookup_stats
+def _run_one(widx: int, job_id: str, payload: Dict[str, Any],
+             cap: int) -> Tuple[Any, ...]:
+    """Execute one job; returns its ``done``/``error`` message."""
     from repro.serve.jobs import execute_job
 
-    reset_lookup_stats()
-    previous = tracer.SINK
-    if cap > 0:
-        tracer.SINK = _ForwardingSink(outbox, widx, job_id, cap)
-    try:
-        result = execute_job(payload)
-        outbox.put(("done", widx, job_id, result, lookup_stats()))
-    except Exception as exc:  # noqa: BLE001 — worker must not die
-        outbox.put((
-            "error", widx, job_id,
-            f"{type(exc).__name__}: {exc}", lookup_stats(),
-        ))
-    finally:
-        tracer.SINK = previous
+    with envelope.Capture(cap, FORWARDED_KINDS) as captured:
+        try:
+            msg = ("done", widx, job_id, execute_job(payload))
+        except Exception as exc:  # noqa: BLE001 — worker must not die
+            msg = ("error", widx, job_id, f"{type(exc).__name__}: {exc}")
+    return msg + (captured.envelope,)
 
 
-def _worker_main(widx: int, inbox, outbox, cap: int) -> None:
-    """A worker process's whole life: drain the inbox until ``None``.
-
-    Sharding is pinned off exactly as in the CLI pool: a serving worker
-    fanning out its own shard processes would multiply the fan-out.
-    """
-    os.environ["REPRO_SHARD"] = "0"
+def _drain_jobs(widx: int, inbox, deliver, cap: int) -> None:
+    """Run inbox batches until ``None``, delivering each job's message."""
     while True:
         msg = inbox.get()
         if msg is None:
             return
         for job_id, payload in msg:
-            _run_one(outbox, widx, job_id, payload, cap)
+            deliver(_run_one(widx, job_id, payload, cap))
+
+
+def _worker_main(widx: int, inbox, outbox, cap: int) -> None:
+    """A worker process's whole life: drain the inbox until ``None``."""
+    envelope.init_worker()
+    _drain_jobs(widx, inbox, outbox.put, cap)
 
 
 #: Message callback type: receives the raw outbox tuples documented on
-#: :class:`WorkerPool` (``("event"|"done"|"error", widx, job_id, ...)``).
+#: :class:`WorkerPool` (``("done"|"error", widx, job_id, ...)``).
 MessageHandler = Callable[[Tuple[Any, ...]], None]
 
 
@@ -132,11 +103,11 @@ class WorkerPool:
 
     Outbox message shapes (what the handler receives):
 
-    * ``("event", widx, job_id, payload)`` — one forwarded engine event
-    * ``("done", widx, job_id, result, cache_stats)`` — job finished
-    * ``("error", widx, job_id, message, cache_stats)`` — job raised
+    * ``("done", widx, job_id, result, envelope)`` — job finished
+    * ``("error", widx, job_id, message, envelope)`` — job raised
 
-    ``cache_stats`` is the worker's per-job cache-lookup delta (the
+    ``envelope`` is the job's :class:`repro.obs.envelope.Envelope`: its
+    forwarded engine events and its cache-lookup delta (the
     ``{"hits": {layer: n}, "misses": {...}}`` shape of
     :func:`repro.memory.cache.lookup_stats`).
     """
@@ -234,30 +205,10 @@ class InlinePool:
 
     def start(self) -> None:
         self._thread = threading.Thread(
-            target=self._run, name="repro-serve-inline", daemon=True
+            target=_drain_jobs, args=(0, self._inbox, self._handler, 0),
+            name="repro-serve-inline", daemon=True,
         )
         self._thread.start()
-
-    def _run(self) -> None:
-        from repro.memory.cache import lookup_stats, reset_lookup_stats
-        from repro.serve.jobs import execute_job
-
-        while True:
-            msg = self._inbox.get()
-            if msg is None:
-                return
-            for job_id, payload in msg:
-                reset_lookup_stats()
-                try:
-                    result = execute_job(payload)
-                    self._handler(
-                        ("done", 0, job_id, result, lookup_stats())
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    self._handler((
-                        "error", 0, job_id,
-                        f"{type(exc).__name__}: {exc}", lookup_stats(),
-                    ))
 
     def submit(self, widx: int,
                batch: List[Tuple[str, Dict[str, Any]]]) -> None:

@@ -22,7 +22,7 @@ from repro.litmus import catalog
 from repro.litmus.runner import SC_CFG, rm_config
 from repro.memory.cache import cached_explore, clear_memory_cache
 from repro.memory.exploration import explore
-from repro.obs import metrics, tracer
+from repro.obs import envelope, metrics, tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullSink, RecordingSink, recording
 
@@ -298,15 +298,87 @@ def _square_worker(n):
     return n * n
 
 
-class TestMultiprocessAggregation:
-    def test_worker_wrapper_resets_child_registry(self):
-        from repro.parallel.pool import _run_with_metrics
+def _observe_sink(_item):
+    """Module-level pool worker reporting the child's installed sink."""
+    return tracer.SINK is None
 
+
+def _traced_worker(n):
+    """Module-level pool worker emitting one span and one event."""
+    with tracer.SINK.span("work", n=n):
+        tracer.SINK.emit(tracer.BARRIER, n=n)
+    return n
+
+
+class TestMultiprocessAggregation:
+    def test_envelope_resets_child_registry(self):
+        metrics.enable()
         metrics.REGISTRY.counter("stale.parent").inc(100)
-        result, snap = _run_with_metrics(_square_worker, 3)
+        with envelope.Capture(0) as captured:
+            result = _square_worker(3)
         assert result == 9
+        snap = captured.envelope.metrics_snapshot
         assert "stale.parent" not in snap["metrics"]
         assert snap["metrics"]["worker.calls"]["value"] == 1
+
+    def test_envelope_filters_and_caps_events(self):
+        with recording() as parent:
+            with envelope.Capture(2, kinds=(tracer.BARRIER,)) as captured:
+                for n in range(3):
+                    tracer.SINK.emit(tracer.PROMISE_MADE, n=n)
+                    tracer.SINK.emit(tracer.BARRIER, n=n)
+            assert tracer.SINK is parent
+        env = captured.envelope
+        assert [e.get("n") for e in env.events] == [0, 1]
+        assert {e.kind for e in env.events} == {tracer.BARRIER}
+        assert env.dropped == 1
+        assert parent.events == []
+
+    def test_merge_renumbers_seq_and_span_ids(self):
+        with recording() as parent:
+            with parent.span("parent"):
+                pass
+            for n in (1, 2):
+                with envelope.Capture(100) as captured:
+                    _traced_worker(n)
+                envelope.merge(captured.envelope)
+        assert [e.seq for e in parent.events] == list(range(8))
+        spans = [(e.kind, e.get("span"), e.get("name"))
+                 for e in parent.events if e.kind != tracer.BARRIER]
+        assert spans == [
+            ("span_begin", 0, "parent"), ("span_end", 0, "parent"),
+            ("span_begin", 1, "work"), ("span_end", 1, "work"),
+            ("span_begin", 2, "work"), ("span_end", 2, "work"),
+        ]
+
+    def test_parallel_map_replays_worker_traces(self, monkeypatch):
+        from repro.parallel import pool
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform without fork")
+        monkeypatch.setattr(
+            pool, "plan_jobs",
+            lambda jobs, batch: pool.JobPlan(2, 2, 2, batch, "forced"),
+        )
+        with recording() as rec:
+            assert pool.parallel_map(_traced_worker, [1, 2, 3, 4],
+                                     jobs=2) == [1, 2, 3, 4]
+        barriers = [e.get("n") for e in rec.by_kind(tracer.BARRIER)]
+        assert barriers == [1, 2, 3, 4]   # submission order
+
+    def test_untraced_pool_workers_install_no_sink(self, monkeypatch):
+        """No parent sink: a pooled item sees ``tracer.SINK is None``, so
+        untraced pooled runs keep the engine's free emission path."""
+        from repro.parallel import pool
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform without fork")
+        monkeypatch.setattr(
+            pool, "plan_jobs",
+            lambda jobs, batch: pool.JobPlan(2, 2, 2, batch, "forced"),
+        )
+        results = pool.parallel_map(_observe_sink, [0, 1], jobs=2)
+        assert results == [True, True]
 
     def test_parallel_map_merges_worker_snapshots(self, monkeypatch):
         """Force a real 2-process pool (the CI box may have 1 CPU)."""

@@ -12,7 +12,9 @@ and review the diff like any other code change.
 """
 
 import json
+import multiprocessing
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ import pytest
 from repro.cli import main
 from repro.litmus import catalog
 from repro.memory.behaviors import compare_models
+from repro.memory.cache import clear_memory_cache
 from repro.memory.semantics import PROMISING_ARM
 from repro.memory.trace import find_execution
 from repro.obs.render import (
@@ -28,6 +31,7 @@ from repro.obs.render import (
     explanation_json,
     render_explanation,
 )
+from repro.parallel import pool
 from repro.sekvm.ir_programs import gen_vmid_case
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -195,6 +199,57 @@ class TestTraceCommand:
         metrics_data = json.loads(metrics_path.read_text())
         assert metrics_data["schema"] == "repro.obs.metrics/v1"
         assert metrics_data["metrics"]["explore.explorations"]["value"] >= 1
+
+    def test_litmus_trace_is_independent_of_the_pool(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``--jobs 1`` and a forced 2-worker pool record the same event
+        multiset (seq and span ids renumbered) and the same merged
+        metric counters.  ``available_cpus`` is patched so the fork path
+        also runs on 1-CPU hosts.  Only the ``pool.*`` counters differ:
+        a serial run records no pool batch."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform without fork")
+        monkeypatch.setenv("REPRO_EXPLORE_CACHE", "1")
+
+        def traced(tag, jobs):
+            # Each run starts from an empty in-process memo, so neither
+            # run is answered by explorations an earlier test made.
+            clear_memory_cache()
+            trace_path = tmp_path / f"{tag}.trace.json"
+            metrics_path = tmp_path / f"{tag}.metrics.json"
+            code, _ = run_cli(
+                capsys, "litmus", "--corpus", "classic", "--no-cache",
+                "--jobs", str(jobs), "--trace", str(trace_path),
+                "--metrics-out", str(metrics_path),
+            )
+            assert code == 0
+            events = json.loads(trace_path.read_text())["events"]
+            begins = Counter(e["span"] for e in events
+                             if e["kind"] == "span_begin")
+            ends = Counter(e["span"] for e in events
+                           if e["kind"] == "span_end")
+            assert begins == ends and set(begins.values()) == {1}
+            multiset = Counter(
+                json.dumps({k: v for k, v in e.items()
+                            if k not in ("seq", "span")}, sort_keys=True)
+                for e in events
+            )
+            counters = {
+                name: m["value"]
+                for name, m in json.loads(
+                    metrics_path.read_text())["metrics"].items()
+                if m["type"] == "counter" and not name.startswith("pool.")
+            }
+            return multiset, counters
+
+        serial_events, serial_counters = traced("serial", 1)
+        monkeypatch.setattr(pool, "available_cpus", lambda: 2)
+        assert pool.plan_jobs(2, 15).workers == 2
+        pooled_events, pooled_counters = traced("pooled", 2)
+        assert any('"promise_made"' in key for key in serial_events)
+        assert pooled_events == serial_events
+        assert pooled_counters == serial_counters
 
 
 class TestVMFeatureGoldens:

@@ -501,9 +501,15 @@ class TestForkedPool:
                         == cold.result["behavior_digest"])
                 assert warm.result["n_behaviors"] == cold.result["n_behaviors"]
 
-                # engine events crossed the process boundary into SSE
+                # engine events crossed the process boundary into SSE,
+                # all of them ahead of the job's terminal frame
                 kinds = [e["kind"] for e in cold.events]
                 assert "engine_event" in kinds
+                assert kinds[-1] == "job_done"
+                # /v1/stats sums the workers' per-job lookup deltas
+                assert server.stats()["worker_cache"] == {
+                    "hits": {"memo": 1}, "misses": {"explore": 1},
+                }
             finally:
                 await server.stop()
         asyncio.run(scenario())

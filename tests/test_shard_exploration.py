@@ -485,6 +485,24 @@ class TestTraceEvents:
         # Converging interleavings guarantee cross-shard duplicates.
         assert aggregates[-1].get("hits") > 0
 
+    def test_worker_events_reach_the_parent_trace(self):
+        """Engine events emitted inside shard workers ride back in their
+        envelopes: every state is expanded exactly once either way, so
+        the per-state kinds count the same as in a serial run."""
+        cfg = ModelConfig(relaxed=True)
+        with tracer.recording(max_events=500_000) as serial:
+            explore(wide_program(), cfg)
+        with shard_env(2), tracer.recording(max_events=500_000) as sink:
+            explore(wide_program(), cfg)
+        assert sink.dropped == 0
+        for kind in (tracer.PROMISE_MADE, tracer.PROMISE_CERTIFIED,
+                     tracer.POR_AMPLE):
+            assert len(sink.by_kind(kind)) == len(serial.by_kind(kind)) > 0
+        per_worker = {e.get("worker")
+                      for e in sink.by_kind(tracer.VISITED_FILTER_HIT)
+                      if not e.get("aggregate")}
+        assert per_worker <= {0, 1} and per_worker
+
     def test_no_events_without_sink(self):
         # The SINK-is-None guard: a sharded run with no sink installed
         # must not fail and must emit nothing (tracer.SINK stays None).
