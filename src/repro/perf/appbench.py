@@ -35,7 +35,12 @@ class AppBenchResult:
 
 
 def event_costs(cfg: SimConfig) -> Dict[str, float]:
-    """Per-event cycle costs for one configuration (cached per call)."""
+    """Per-event cycle costs for one configuration.
+
+    Each call re-runs the operation simulator; a sweep over one
+    configuration computes the costs once and passes them as ``costs=``
+    (see :func:`run_figure8` and :func:`repro.perf.scaling.run_figure9`).
+    """
     return {
         "hypercall": simulate_operation(cfg, "Hypercall"),
         "io_kernel": simulate_operation(cfg, "I/O Kernel"),

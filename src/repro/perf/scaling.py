@@ -69,15 +69,17 @@ def simulate_scaling(
     native_seconds: float = 1.0,
     io_service: float = 5e-7,
     batch: int = 200,
+    costs: Optional[Dict[str, float]] = None,
 ) -> float:
     """Normalized per-VM performance with *n_vms* concurrent instances.
 
     ``batch`` coalesces that many hypervisor events into one simulated
     I/O operation (scaling interval, exit overhead, and backend service
     together), keeping the event count tractable without changing the
-    utilization arithmetic.
+    utilization arithmetic.  ``costs`` defaults to ``event_costs(cfg)``.
     """
-    costs = event_costs(cfg)
+    if costs is None:
+        costs = event_costs(cfg)
     io_interval, exit_overhead = _per_io_overhead_seconds(workload, cfg, costs)
     io_interval *= batch
     exit_overhead *= batch
@@ -118,9 +120,10 @@ def run_figure9(
     points: List[ScalingPoint] = []
     for hypervisor in (Hypervisor.KVM, Hypervisor.SEKVM):
         cfg = SimConfig(machine=machine, hypervisor=hypervisor, linux=linux)
+        costs = event_costs(cfg)
         for workload in workloads:
             for n in vm_counts:
-                perf = simulate_scaling(workload, cfg, n)
+                perf = simulate_scaling(workload, cfg, n, costs=costs)
                 points.append(
                     ScalingPoint(
                         workload=workload.name,

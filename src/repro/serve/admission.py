@@ -71,7 +71,7 @@ class AdmissionControl:
     """Tenant budgets for the serving layer.
 
     ``rate <= 0`` disables throttling (every tenant always admitted) —
-    the bench and smoke-test configuration, where the traffic source is
+    the test and smoke-test configuration, where the traffic source is
     trusted and the measurement wants the queue, not the limiter, to be
     the bottleneck.
     """

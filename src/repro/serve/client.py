@@ -1,4 +1,4 @@
-"""A minimal asyncio client for the serve API (bench, tests, CI).
+"""A minimal asyncio client for the serve API (tests, CI).
 
 Zero dependencies, mirroring the server: raw ``asyncio`` streams, one
 request per connection.  This is not a general HTTP client — it speaks

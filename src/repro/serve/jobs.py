@@ -24,7 +24,7 @@ genome must not defeat dedup.
 (:func:`~repro.memory.cache.cached_explore`,
 :func:`~repro.vrm.verifier.verify_wdrf`,
 :func:`~repro.litmus.runner.run_litmus`) so a served verdict is
-bit-identical to the same call made directly — the property the bench
+bit-identical to the same call made directly — the property the tests
 and the smoke test assert.
 """
 

@@ -132,7 +132,7 @@ class JobRecord:
 class VerificationServer:
     """The serving state machine plus its asyncio HTTP frontend.
 
-    Built to be driven programmatically too: tests and the bench call
+    Built to be driven programmatically too: tests call
     :meth:`submit` / :meth:`wait` directly on the running instance —
     the HTTP layer is a thin JSON shim over the same methods.
     """

@@ -1,6 +1,6 @@
 """Synthetic serve traffic from the conformance fuzzer's generator.
 
-The bench's serving claim is about *duplicate-heavy* load — thousands
+The serving layer's claim is about *duplicate-heavy* load — thousands
 of clients verifying overlapping kernels.  The conformance genome
 generator (:mod:`repro.conformance.genome`) is the natural traffic
 source: it draws small, valid, deterministic programs from seeded RNG
@@ -15,7 +15,7 @@ names* — dedup must work on content, not labels.
 :func:`run_traffic` drives a running :class:`~repro.serve.server.
 VerificationServer` with N concurrent client coroutines over real HTTP
 and reports latency percentiles, throughput, and the server's cache
-accounting — the numbers the ``serve`` bench section records.
+accounting.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ async def run_traffic(
     Each client coroutine pulls the next job off a shared list and
     submits it with ``wait=1``; per-job wall latencies feed the
     percentile report.  ``collect_results`` additionally returns the
-    response bodies in job order (``"results"``) so the bench can
+    response bodies in job order (``"results"``) so a caller can
     assert served verdicts are identical to direct execution.
     """
     from repro.serve.client import get_stats, submit_job

@@ -77,7 +77,7 @@ _CONDITION_KINDS = (
 
 @dataclass
 class BmcStats:
-    """Aggregated backend counters (bench/observability surface)."""
+    """Aggregated backend counters (observability surface)."""
 
     encodings: int = 0
     solve_calls: int = 0

@@ -46,7 +46,7 @@ __all__ = [
 _BACKENDS = ("explore", "bmc", "auto")
 
 #: Predicted state count (log10) above which exploration is deemed the
-#: slower backend.  Calibrated against BENCH_exploration.json: promise
+#: slower backend.  The break-even follows from measured costs: promise
 #: certification holds the engine to a few thousand relaxed states per
 #: second, while a fragment-sized CNF encode+solve costs tens of
 #: milliseconds, so the break-even sits around 10^3 predicted states.

@@ -6,9 +6,7 @@ discipline the exploration optimizations use:
 * encoder edge cases (empty threads, depth bounds, fragment gates),
 * verdict equality against exploration over the full litmus catalog,
   the wDRF checkers, and a fuzzed genome sweep,
-* the cost-model router's policy under forced features, plus the
-  bench-surface satellites (``--only bmc`` timing, single-core speedup
-  annotation).
+* the cost-model router's policy under forced features.
 """
 
 import pytest
@@ -20,12 +18,6 @@ from repro.litmus.runner import SC_CFG, rm_config, run_litmus
 from repro.memory.cache import bmc_query_key, cached_explore, exploration_key
 from repro.memory.semantics import ModelConfig
 from repro.memory.trace import ExecutionTrace
-from repro.parallel.bench import (
-    _speedup,
-    _time_bmc_litmus,
-    bmc_explosion_spec,
-    format_bench,
-)
 from repro.smt import (
     BmcStats,
     ProgramEncoding,
@@ -79,6 +71,27 @@ def staged_pt_program():
     return build_program(
         threads, initial_memory=init, name="pt-write-twice-staged"
     )
+
+
+def bmc_explosion_spec():
+    """A wDRF spec whose exploration state space explodes but whose CNF
+    stays tiny: two CPUs each initialize three private kernel PT entries
+    and read back one, so relaxed exploration certifies thousands of
+    promise interleavings while the write-once/isolation queries are a
+    few hundred clauses — the shape the cost-model router must send to
+    the solver."""
+    tbs, init, pts = [], {}, []
+    for t in range(2):
+        tb = ThreadBuilder(t)
+        for s in range(3):
+            loc = 0x1000 + 0x10 * (t * 3 + s)
+            tb.store(loc, t + 1, pt_kind=PTKind.KERNEL)
+            init[loc] = 0
+            pts.append(loc)
+        tb.load(f"r{t}", 0x1000)
+        tbs.append(tb)
+    program = build_program(tbs, initial_memory=init, name="bmc-explosion")
+    return WDRFSpec(program=program, kernel_pt_locs=tuple(pts))
 
 
 def write_once_requests(program, cfg):
@@ -168,6 +181,7 @@ class TestEncoderEdges:
 class TestLitmusAgreement:
     def test_full_catalog_behavior_sets_agree(self):
         compared = 0
+        stats = BmcStats()
         for test in full_corpus():
             observe = sorted(loc for loc, _ in test.memory_condition)
             for cfg in (SC_CFG, rm_config(test.max_promises)):
@@ -175,7 +189,8 @@ class TestLitmusAgreement:
                     continue
                 try:
                     solved = bmc_explore(
-                        test.program, cfg, observe, cache=False
+                        test.program, cfg, observe, cache=False,
+                        stats=stats,
                     )
                 except Unsupported:
                     continue
@@ -187,6 +202,9 @@ class TestLitmusAgreement:
                 compared += 1
         # The sweep must stay substantial, or the oracle is vacuous.
         assert compared >= 40
+        # One encoding per solved query, each with real solver work.
+        assert stats.encodings == compared
+        assert stats.clauses > 0 and stats.outcomes > 0
 
     def test_forced_bmc_passes_classic_tests(self):
         for test in classic_corpus()[:8]:
@@ -343,53 +361,6 @@ class TestFuzzedAgreement:
                 genome,
                 [d.describe() for d in disagreements],
             )
-
-
-class TestBenchSatellites:
-    def test_speedup_degraded_annotation_only_on_single_core(
-        self, monkeypatch
-    ):
-        import repro.parallel.bench as bench
-
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
-        single = _speedup(2.0, 1.0)
-        assert single["degraded"] == "single-core-runner"
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
-        multi = _speedup(2.0, 1.0)
-        assert "degraded" not in multi
-        assert multi["ratio"] == 2.0 and multi["cpu_count"] == 8
-
-    def test_bmc_litmus_sweep_reports_solver_throughput(self):
-        sweep = _time_bmc_litmus()
-        assert sweep["queries_solved"] >= 40
-        assert sweep["clauses_per_second"] > 0
-        assert sweep["outcomes"] > 0
-        assert sweep["encodings"] == sweep["queries_solved"]
-
-    def test_format_bench_renders_the_bmc_section(self):
-        results = {
-            "schema": "BENCH_exploration/v5",
-            "cpu_count": 1,
-            "jobs": 1,
-            "shard_jobs": 2,
-            "bmc": {
-                "cpu_count": 1,
-                "explosion_spec": {
-                    "auto": {"wall_seconds": 0.03, "bmc_passes": 2},
-                    "explore": {"wall_seconds": 3.0, "states": 112000},
-                    "router_speedup": 100.0,
-                },
-                "litmus_solver": {
-                    "queries_solved": 44,
-                    "wall_seconds": 0.05,
-                    "clauses_per_second": 88000.0,
-                    "outcomes": 144,
-                },
-            },
-        }
-        text = format_bench(results)
-        assert "bmc router" in text and "bmc solver" in text
-        assert "100.0x" in text
 
 
 class TestStats:

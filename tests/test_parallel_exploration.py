@@ -21,6 +21,7 @@ from repro.memory import (
 )
 from repro.memory.cache import exploration_key
 from repro.parallel import available_cpus, parallel_map, resolve_jobs
+from repro.parallel.bench import promise_heavy_program
 
 X, Y = 0x10, 0x20
 
@@ -72,16 +73,23 @@ class TestPORCrossCheck:
         t0.store(X, 1).load("r0", Y)
         t1 = ThreadBuilder(1)
         t1.store(Y, 1).load("r1", X)
-        program = build_program(
+        sb = build_program(
             [t0, t1], observed={0: ["r0"], 1: ["r1"]},
             initial_memory={X: 0, Y: 0},
         )
-        cfg = ModelConfig(relaxed=True)
-        interned = explore(program, cfg)
-        monkeypatch.setenv("REPRO_INTERN", "0")
-        plain = explore(program, cfg)
-        assert interned.behaviors == plain.behaviors
-        assert interned.states_explored == plain.states_explored
+        for program, cfg in (
+            (sb, ModelConfig(relaxed=True)),
+            # promise certification dominates: interning backs its
+            # seen-sets as well as the outer visited set
+            (promise_heavy_program(),
+             ModelConfig(relaxed=True, max_promises_per_thread=1)),
+        ):
+            monkeypatch.delenv("REPRO_INTERN", raising=False)
+            interned = explore(program, cfg)
+            monkeypatch.setenv("REPRO_INTERN", "0")
+            plain = explore(program, cfg)
+            assert interned.behaviors == plain.behaviors
+            assert interned.states_explored == plain.states_explored
 
 
 class TestBudgetAccounting:

@@ -211,6 +211,26 @@ class TestFigure9:
             gap = 1 - perf / table[(workload, "KVM", n)]
             assert gap < 0.10, f"{workload}@{n}VMs gap {gap:.1%}"
 
+    def test_costs_computed_once_per_hypervisor(self, monkeypatch):
+        """``run_figure9`` simulates each event cost once per hypervisor
+        (2 x 4 operations) and returns the per-point path's results."""
+        import repro.perf.appbench as appbench
+
+        calls = []
+        real = appbench.simulate_operation
+
+        def counting(cfg, op):
+            calls.append(op)
+            return real(cfg, op)
+
+        monkeypatch.setattr(appbench, "simulate_operation", counting)
+        points = run_figure9(vm_counts=(1, 4, 16))
+        assert len(calls) <= 8
+        for p in points:
+            cfg = SimConfig(machine=M400, hypervisor=Hypervisor(p.hypervisor))
+            workload = workload_by_name(p.workload)
+            assert p.normalized_perf == simulate_scaling(workload, cfg, p.vms)
+
     def test_one_vm_matches_figure8_closely(self):
         cfg = SimConfig(machine=M400, hypervisor=Hypervisor.KVM)
         for workload in APP_WORKLOADS:

@@ -48,10 +48,15 @@ def test_default_version_is_original_retrofit():
     assert v.linux == "4.18" and v.s2_levels == 4
 
 
-@pytest.mark.parametrize("levels", [3, 4])
-def test_verify_sekvm_both_page_table_depths(levels):
+@pytest.mark.parametrize("levels, jobs", [
+    pytest.param(3, None, id="3"),
+    pytest.param(4, None, id="4"),
+    # the pooled path must verify every case too
+    pytest.param(4, 2, id="4-jobs2"),
+])
+def test_verify_sekvm_both_page_table_depths(levels, jobs):
     version = KVMVersion(linux="4.18", s2_levels=levels)
-    outcome = verify_sekvm(version)
+    outcome = verify_sekvm(version, jobs=jobs)
     assert outcome.all_verified, outcome.describe()
 
 

@@ -449,9 +449,15 @@ class TestHttpApi:
                 assert parse_job(jobs[0]).key == parse_job(jobs[2]).key
                 assert parse_job(jobs[0]).key != parse_job(jobs[1]).key
                 report = await run_traffic(
-                    server.config.host, server.port, jobs, clients=3
+                    server.config.host, server.port, jobs, clients=3,
+                    collect_results=True,
                 )
                 assert report["jobs"] == 6 and report["failures"] == 0
+                # every served verdict is bit-identical to a direct call
+                for job, body in zip(jobs, report.pop("results")):
+                    direct = execute_job(parse_job(job).payload)
+                    assert (body["result"]["behavior_digest"]
+                            == direct["behavior_digest"])
                 assert report["throughput_jobs_per_s"] > 0
                 assert report["p99_ms"] >= report["p50_ms"]
                 served_warm = (
